@@ -1,8 +1,8 @@
 //! `bench-report`: the machine-readable throughput harness behind the CI
 //! bench gate. Measures the batched apply pipeline (batch-size sweep, with
-//! and without a journal) and the sharded matcher (sequential vs parallel
-//! repair), then writes `BENCH_sync.json` and `BENCH_matching.json` —
-//! one result object per line, so `scripts/bench_compare.sh` can diff two
+//! and without a journal) and the PRI matcher (bulk repair and the Central
+//! Client's fill cycle), then writes `BENCH_sync.json` and
+//! `BENCH_matching.json` — one result object per line, so `scripts/bench_compare.sh` can diff two
 //! runs with nothing fancier than sed.
 //!
 //! Usage: `bench-report [--quick] [--out-dir DIR]`
@@ -18,7 +18,7 @@ use crowdfill_bench::workload::{
     record_fill_workload, replay_batched, replay_singleton, sharded_graph,
 };
 use crowdfill_docstore::{FsyncPolicy, Wal};
-use crowdfill_matching::Parallelism;
+use crowdfill_matching::ShardedMatcher;
 use crowdfill_server::{Backend, ConnLayer};
 use crowdfill_sim::openloop;
 use std::io::Write;
@@ -128,10 +128,9 @@ fn sync_suite(quick: bool) -> Vec<Entry> {
     eprintln!("sync workload: {ops} ops over {rows} rows, {workers} workers, {reps} reps");
     let mut entries = Vec::new();
 
-    // Interleave every variant rep by rep (see the matching suite for the
-    // rationale): timing each variant as its own back-to-back pass lets
-    // clock/cache drift between passes masquerade as a batching
-    // regression, when singleton and batch replay the same ops through the
+    // Interleave every variant rep by rep: timing each variant as its own
+    // back-to-back pass lets clock/cache drift between passes masquerade
+    // as a batching regression, when singleton and batch replay the same ops through the
     // same pipeline. The order also rotates each rep so no variant always
     // occupies the same slot of the cycle — a fixed slot picks up a small
     // systematic bias from whatever the previous variant left in cache.
@@ -215,48 +214,52 @@ fn matching_suite(quick: bool) -> Vec<Entry> {
         // One repair resolves every free left across all components; count
         // the lefts as the "ops" so ns/op is per augmenting start.
         let ops = components * size;
-        // Warm-up pass so neither policy pays the cold caches.
-        sharded_graph(components, size, Parallelism::Sequential).repair();
-        // Interleave seq and par passes rep by rep: a sequential
-        // A-then-B layout lets clock-frequency and cache drift land
-        // entirely on one side, showing multi-percent phantom deltas
-        // between two policies that (below the Auto crossover, or on a
-        // single-core box) run the identical code path.
-        // Alternating which policy leads each rep cancels the (small)
-        // first-in-cycle cache bias as well.
-        let mut seq: Vec<u128> = Vec::with_capacity(reps);
-        let mut par: Vec<u128> = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            for k in 0..2 {
-                let policy = if (rep + k) % 2 == 0 {
-                    Parallelism::Sequential
-                } else {
-                    Parallelism::Auto
-                };
-                let start = Instant::now();
-                let mut m = sharded_graph(components, size, policy);
-                m.repair();
-                let elapsed = start.elapsed().as_nanos();
-                assert_eq!(m.matching_size(), components * size);
-                match policy {
-                    Parallelism::Sequential => seq.push(elapsed),
-                    _ => par.push(elapsed),
-                }
-            }
-        }
-        entries.push(reduce(
-            &format!("sharded_repair/seq/c{components}x{size}"),
+        // Warm-up pass so the first rep does not pay the cold caches.
+        sharded_graph(components, size).repair();
+        entries.push(measure(
+            &format!("repair/c{components}x{size}"),
             ops,
             reps,
-            seq,
-        ));
-        entries.push(reduce(
-            &format!("sharded_repair/par/c{components}x{size}"),
-            ops,
-            reps,
-            par,
+            || assert_eq!(sharded_graph(components, size).repair(), ops),
         ));
     }
+
+    // The Central Client's cycle on a crowd-large collection: a fill
+    // replaces the row matched to a template row, so its right leaves and
+    // a fresh right joins all 300 lefts (`Template::cardinality` joins
+    // every template row to every probable row), then repair. 1000 cycles
+    // cross the matcher's compaction point, so its cost is in the figure.
+    const LEFTS: usize = 300;
+    const RIGHTS: usize = 330;
+    const CYCLES: usize = 1000;
+    let add_row = |m: &mut ShardedMatcher<usize, usize>, r: usize| {
+        m.add_right(r);
+        for l in 0..LEFTS {
+            m.add_edge(l, r);
+        }
+    };
+    let mut samples = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let mut m = ShardedMatcher::new();
+        for r in 0..RIGHTS {
+            add_row(&mut m, r);
+        }
+        m.repair();
+        let start = Instant::now();
+        for i in 0..CYCLES {
+            let gone = *m.matched_right(&(i % LEFTS)).expect("template covered");
+            m.remove_right(&gone);
+            add_row(&mut m, RIGHTS + i);
+            assert_eq!(m.repair(), LEFTS);
+        }
+        samples.push(start.elapsed().as_nanos());
+    }
+    entries.push(reduce(
+        &format!("fill_cycle/{LEFTS}x{RIGHTS}"),
+        CYCLES,
+        reps,
+        samples,
+    ));
     entries
 }
 

@@ -208,15 +208,12 @@ pub fn replay_singleton(
 }
 
 /// A bipartite graph of `components` disjoint blocks, each with `size`
-/// lefts and `size + 1` rights connected in a dense-ish local pattern —
-/// the shard-parallel repair workload.
+/// lefts and `size + 1` rights connected in a dense-ish local pattern.
 pub fn sharded_graph(
     components: usize,
     size: usize,
-    parallelism: crowdfill_matching::Parallelism,
 ) -> crowdfill_matching::ShardedMatcher<usize, usize> {
     let mut m = crowdfill_matching::ShardedMatcher::new();
-    m.set_parallelism(parallelism);
     for c in 0..components {
         let lbase = c * size;
         let rbase = c * (size + 1);

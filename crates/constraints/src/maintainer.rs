@@ -52,9 +52,9 @@ pub struct PriMaintainer {
     template: Vec<(TemplateIdx, TemplateRow)>,
     /// Template rows CC had to give up on (paper §4.2's degenerate case).
     dropped: Vec<(TemplateIdx, TemplateRow)>,
-    /// Sharded so large templates repair component-parallel, and ordered so
-    /// two maintainers fed identical messages make identical decisions (the
-    /// batched server relies on that for cross-instance history identity).
+    /// Deterministic, so two maintainers fed identical messages make
+    /// identical decisions (the batched server relies on that for
+    /// cross-instance history identity).
     matcher: ShardedMatcher<TemplateIdx, RowId>,
     /// Current probable set (mirrors the matcher's right vertices).
     probable: BTreeSet<RowId>,

@@ -1,73 +1,112 @@
-//! Property tests: the incremental matcher always reaches the same maximum
-//! matching *size* as the independent Hopcroft–Karp solver, across random
-//! graphs and random mutation sequences. The sharded matcher is held to the
-//! same oracle plus two stronger properties its determinism promises: two
-//! instances fed the same mutations agree edge-for-edge, and parallel
-//! repair agrees edge-for-edge with sequential repair.
+//! Property tests: the matcher always reaches the same maximum matching
+//! *size* as the independent Hopcroft–Karp solver, across random graphs
+//! and random mutation sequences — including long remove/re-add runs that
+//! recycle vertex slots through compaction. Two instances fed the same
+//! mutations agree edge-for-edge, and every exchangeable donor really can
+//! be exchanged.
 
-use crowdfill_matching::{
-    hopcroft_karp, max_matching_size, IncrementalMatcher, Parallelism, ShardedMatcher,
-};
+use crowdfill_matching::{hopcroft_karp, max_matching_size, ShardedMatcher};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
 enum Mutation {
     AddEdge(u8, u8),
+    /// A probable row arriving: right `r` joined to every left in the mask.
+    AddRight(u8, u16),
     RemoveEdge(u8, u8),
     RemoveLeft(u8),
     RemoveRight(u8),
+    /// Right `r` leaves and re-arrives with the mask's edges, `n` times.
+    Churn(u8, u16, u8),
 }
 
 fn mutation_strategy() -> impl Strategy<Value = Mutation> {
     prop_oneof![
         5 => (0u8..10, 0u8..10).prop_map(|(l, r)| Mutation::AddEdge(l, r)),
+        3 => (0u8..10, 0u16..1024).prop_map(|(r, mask)| Mutation::AddRight(r, mask)),
         2 => (0u8..10, 0u8..10).prop_map(|(l, r)| Mutation::RemoveEdge(l, r)),
         1 => (0u8..10).prop_map(Mutation::RemoveLeft),
-        1 => (0u8..10).prop_map(Mutation::RemoveRight),
+        2 => (0u8..10).prop_map(Mutation::RemoveRight),
+        1 => (0u8..10, 0u16..1024, 1u8..40).prop_map(|(r, mask, n)| Mutation::Churn(r, mask, n)),
     ]
+}
+
+/// The matcher under test, a twin fed identical mutations, and the edge
+/// set the oracle solves.
+struct Model {
+    m: ShardedMatcher<u8, u8>,
+    twin: ShardedMatcher<u8, u8>,
+    edges: HashSet<(u8, u8)>,
+}
+
+impl Model {
+    fn apply(&mut self, mu: &Mutation) {
+        for m in [&mut self.m, &mut self.twin] {
+            match *mu {
+                Mutation::AddEdge(l, r) => {
+                    m.add_edge(l, r);
+                }
+                Mutation::AddRight(r, mask) => {
+                    m.add_right(r);
+                    for l in (0..10u8).filter(|l| mask & (1 << l) != 0) {
+                        m.add_edge(l, r);
+                    }
+                }
+                Mutation::RemoveEdge(l, r) => {
+                    m.remove_edge(&l, &r);
+                }
+                Mutation::RemoveLeft(l) => {
+                    m.remove_left(&l);
+                }
+                Mutation::RemoveRight(r) => {
+                    m.remove_right(&r);
+                }
+                Mutation::Churn(..) => unreachable!("expanded by the caller"),
+            }
+        }
+        match *mu {
+            Mutation::AddEdge(l, r) => {
+                self.edges.insert((l, r));
+            }
+            Mutation::AddRight(r, mask) => {
+                self.edges
+                    .extend((0..10u8).filter(|l| mask & (1 << l) != 0).map(|l| (l, r)));
+            }
+            Mutation::RemoveEdge(l, r) => {
+                self.edges.remove(&(l, r));
+            }
+            Mutation::RemoveLeft(l) => self.edges.retain(|&(el, _)| el != l),
+            Mutation::RemoveRight(r) => self.edges.retain(|&(_, er)| er != r),
+            Mutation::Churn(..) => unreachable!("expanded by the caller"),
+        }
+    }
+
+    fn oracle(&self) -> usize {
+        let mut adj = vec![Vec::new(); 10];
+        for &(l, r) in &self.edges {
+            adj[l as usize].push(r as usize);
+        }
+        max_matching_size(&adj, 10)
+    }
+
+    /// Invariants that hold after any mutation, repaired or not.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let m = &self.m;
+        prop_assert!(m.check_consistency());
+        let live = m.left_count() + m.right_count();
+        prop_assert!(
+            m.slot_count() <= 2 * live + 16,
+            "{} slots for {} live vertices",
+            m.slot_count(),
+            live
+        );
+        Ok(())
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// After any mutation sequence + repair, the incremental matching size
-    /// equals the oracle's maximum on the surviving graph.
-    #[test]
-    fn incremental_matches_oracle(muts in proptest::collection::vec(mutation_strategy(), 1..60)) {
-        let mut m: IncrementalMatcher<u8, u8> = IncrementalMatcher::new();
-        let mut edges: HashSet<(u8, u8)> = HashSet::new();
-        for mu in &muts {
-            match *mu {
-                Mutation::AddEdge(l, r) => {
-                    m.add_edge(l, r);
-                    edges.insert((l, r));
-                }
-                Mutation::RemoveEdge(l, r) => {
-                    m.remove_edge(&l, &r);
-                    edges.remove(&(l, r));
-                }
-                Mutation::RemoveLeft(l) => {
-                    m.remove_left(&l);
-                    edges.retain(|&(el, _)| el != l);
-                }
-                Mutation::RemoveRight(r) => {
-                    m.remove_right(&r);
-                    edges.retain(|&(_, er)| er != r);
-                }
-            }
-            m.repair();
-            prop_assert!(m.check_consistency());
-
-            // Oracle over the same edge set (dense-index the survivors).
-            let mut adj = vec![Vec::new(); 10];
-            for &(l, r) in &edges {
-                adj[l as usize].push(r as usize);
-            }
-            let oracle = max_matching_size(&adj, 10);
-            prop_assert_eq!(m.matching_size(), oracle);
-        }
-    }
 
     /// Hopcroft–Karp returns an injective matching using only real edges.
     #[test]
@@ -88,58 +127,50 @@ proptest! {
         }
     }
 
-    /// The sharded matcher hits the oracle's maximum after every mutation,
-    /// and parallel repair yields the exact same matched edges as
-    /// sequential repair on an identically-mutated twin.
+    /// The matcher hits the oracle's maximum after every mutation + repair,
+    /// keeps its slots within a constant factor of the live graph, agrees
+    /// edge-for-edge with an identically-mutated twin, and every donor
+    /// `exchangeable_lefts` names can really be exchanged.
     #[test]
     fn sharded_matches_oracle_and_is_deterministic(
-        muts in proptest::collection::vec(mutation_strategy(), 1..60)
+        muts in proptest::collection::vec(mutation_strategy(), 1..80)
     ) {
-        let mut seq: ShardedMatcher<u8, u8> = ShardedMatcher::new();
-        let mut par: ShardedMatcher<u8, u8> = ShardedMatcher::new();
-        seq.set_parallelism(Parallelism::Sequential);
-        par.set_parallelism(Parallelism::Threads(4));
-        let mut edges: HashSet<(u8, u8)> = HashSet::new();
+        let mut model = Model {
+            m: ShardedMatcher::new(),
+            twin: ShardedMatcher::new(),
+            edges: HashSet::new(),
+        };
         for mu in &muts {
-            match *mu {
-                Mutation::AddEdge(l, r) => {
-                    seq.add_edge(l, r);
-                    par.add_edge(l, r);
-                    edges.insert((l, r));
-                }
-                Mutation::RemoveEdge(l, r) => {
-                    seq.remove_edge(&l, &r);
-                    par.remove_edge(&l, &r);
-                    edges.remove(&(l, r));
-                }
-                Mutation::RemoveLeft(l) => {
-                    seq.remove_left(&l);
-                    par.remove_left(&l);
-                    edges.retain(|&(el, _)| el != l);
-                }
-                Mutation::RemoveRight(r) => {
-                    seq.remove_right(&r);
-                    par.remove_right(&r);
-                    edges.retain(|&(_, er)| er != r);
-                }
+            let steps = match *mu {
+                Mutation::Churn(r, mask, n) => (0..n)
+                    .flat_map(|_| [Mutation::RemoveRight(r), Mutation::AddRight(r, mask)])
+                    .collect(),
+                _ => vec![mu.clone()],
+            };
+            for step in &steps {
+                model.apply(step);
+                model.check()?;
             }
-            seq.repair();
-            par.repair();
-            prop_assert!(seq.check_consistency());
-            prop_assert!(par.check_consistency());
-
-            let mut adj = vec![Vec::new(); 10];
-            for &(l, r) in &edges {
-                adj[l as usize].push(r as usize);
-            }
-            let oracle = max_matching_size(&adj, 10);
-            prop_assert_eq!(seq.matching_size(), oracle);
-            prop_assert_eq!(par.matching_size(), oracle);
+            model.m.repair();
+            model.twin.repair();
+            model.check()?;
+            prop_assert_eq!(model.m.matching_size(), model.oracle());
             for l in 0u8..10 {
                 prop_assert_eq!(
-                    seq.matched_right(&l), par.matched_right(&l),
-                    "parallel/sequential repair diverged at left {}", l
+                    model.m.matched_right(&l), model.twin.matched_right(&l),
+                    "twins diverged at left {}", l
                 );
+            }
+
+            for free in model.m.free_lefts() {
+                for donor in model.m.exchangeable_lefts(&free) {
+                    let mut m = model.m.clone();
+                    prop_assert!(m.exchange(&free, &donor));
+                    prop_assert!(m.check_consistency());
+                    prop_assert_eq!(m.matching_size(), model.m.matching_size());
+                    prop_assert!(m.matched_right(&free).is_some());
+                    prop_assert!(m.matched_right(&donor).is_none());
+                }
             }
         }
     }

@@ -669,8 +669,37 @@ pub struct TcpService {
     accept_thread: Option<std::thread::JoinHandle<()>>,
     /// Reactor shard threads (empty under [`ConnLayer::ThreadPerConn`]).
     shard_threads: Vec<std::thread::JoinHandle<()>>,
+    /// The eviction, durability and progress sweeps; woken by `sweep_stop`
+    /// and joined on `stop`.
+    sweep_threads: Vec<std::thread::JoinHandle<()>>,
+    sweep_stop: Arc<SweepStop>,
     /// The background metrics sampler; joined on `stop` (and on drop).
     sampler: Option<Sampler>,
+}
+
+/// The background sweeps' clock: each waits out its interval here instead
+/// of sleeping, so [`TcpService::stop`] wakes them at once.
+#[derive(Default)]
+struct SweepStop {
+    stopped: std::sync::Mutex<bool>,
+    wake: std::sync::Condvar,
+}
+
+impl SweepStop {
+    /// Waits up to `interval`; `true` once the service is stopping.
+    fn wait(&self, interval: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap_or_else(|e| e.into_inner());
+        let (stopped, _) = self
+            .wake
+            .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+            .unwrap_or_else(|e| e.into_inner());
+        *stopped
+    }
+
+    fn stop(&self) {
+        *self.stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.wake.notify_all();
+    }
 }
 
 impl TcpService {
@@ -797,16 +826,17 @@ impl TcpService {
         // that stalls on a quiet collection never triggers the enqueue-path
         // check, so a periodic sweep drives `maybe_evict` for every
         // connection of every collection.
+        let sweep_stop = Arc::new(SweepStop::default());
+        let mut sweep_threads = Vec::new();
         let sweep_collections = Arc::clone(&collections);
-        let sweep_shutdown = Arc::clone(&shutdown);
+        let stop = Arc::clone(&sweep_stop);
         let sweep_options = Arc::clone(&options);
         let sweep_interval = (options.overload.evict_after / 4)
             .clamp(Duration::from_millis(5), Duration::from_secs(1));
-        let _ = std::thread::Builder::new()
+        let evict_sweep = std::thread::Builder::new()
             .name("crowdfill-evict-sweep".into())
             .spawn(move || {
-                while !sweep_shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(sweep_interval);
+                while !stop.wait(sweep_interval) {
                     for collection in sweep_collections.values() {
                         let links: Vec<Downlink> =
                             collection.registry.lock().values().cloned().collect();
@@ -816,6 +846,7 @@ impl TcpService {
                     }
                 }
             });
+        sweep_threads.extend(evict_sweep.ok());
 
         // Durability sweep: compaction is driven by journal growth, not
         // by traffic — a collection that went quiet right after a burst
@@ -824,12 +855,11 @@ impl TcpService {
         // `compact_wal_bytes` bounds how much state that write covers.
         if let Some(durability) = options.durability.clone() {
             let sweep_collections = Arc::clone(&collections);
-            let sweep_shutdown = Arc::clone(&shutdown);
-            let _ = std::thread::Builder::new()
+            let stop = Arc::clone(&sweep_stop);
+            let durability_sweep = std::thread::Builder::new()
                 .name("crowdfill-durability-sweep".into())
                 .spawn(move || {
-                    while !sweep_shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(durability.interval);
+                    while !stop.wait(durability.interval) {
                         let mut oldest_age: Option<u64> = None;
                         for collection in sweep_collections.values() {
                             let mut b = collection.backend.lock();
@@ -859,6 +889,7 @@ impl TcpService {
                         }
                     }
                 });
+            sweep_threads.extend(durability_sweep.ok());
         }
 
         // Progress sweep (DESIGN.md §15): advances each collection's
@@ -872,15 +903,14 @@ impl TcpService {
             shared.telemetry.as_ref(),
         ) {
             let sweep_collections = Arc::clone(&collections);
-            let sweep_shutdown = Arc::clone(&shutdown);
+            let stop = Arc::clone(&sweep_stop);
             let ring = Arc::clone(&t.ring);
-            let _ = std::thread::Builder::new()
+            let progress_sweep = std::thread::Builder::new()
                 .name("crowdfill-progress-sweep".into())
                 .spawn(move || {
                     let mut trackers: HashMap<String, (ProgressTracker, bool)> = HashMap::new();
                     let specs = progress_slo_specs(progress.target);
-                    while !sweep_shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(progress.interval);
+                    while !stop.wait(progress.interval) {
                         for collection in sweep_collections.values() {
                             let (tracker, acted) =
                                 trackers.entry(collection.name.clone()).or_default();
@@ -935,6 +965,7 @@ impl TcpService {
                         }
                     }
                 });
+            sweep_threads.extend(progress_sweep.ok());
         }
 
         let accept_shutdown = Arc::clone(&shutdown);
@@ -1017,6 +1048,8 @@ impl TcpService {
             shutdown,
             accept_thread: Some(accept_thread),
             shard_threads,
+            sweep_threads,
+            sweep_stop,
             sampler,
         })
     }
@@ -1059,10 +1092,14 @@ impl TcpService {
         self.shared.collections.keys().cloned().collect()
     }
 
-    /// Stops accepting connections and joins the accept, shard, and
+    /// Stops accepting connections and joins the accept, shard, sweep and
     /// sampler threads.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.sweep_stop.stop();
+        for t in self.sweep_threads.drain(..) {
+            let _ = t.join();
+        }
         if let Some(mut s) = self.sampler.take() {
             s.stop();
         }
